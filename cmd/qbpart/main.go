@@ -301,6 +301,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			stats.Iterations, stats.Starts, stats.Restarts)
 		fmt.Fprintf(stdout, "matrix           %s (density %.4f, %d arcs)\n",
 			stats.Matrix, stats.Density, stats.NNZ)
+		fmt.Fprintf(stdout, "gap fallbacks    %d (STEP 4/6 subproblems answered from the current iterate)\n",
+			stats.GAPFallbacks)
 	}
 	if levels != nil {
 		sizes := make([]string, len(levels))

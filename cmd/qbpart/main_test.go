@@ -98,7 +98,7 @@ func TestReportLines(t *testing.T) {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"method           qbp", "cpu  ", "iterations       ", "matrix           ", "start WL         "} {
+	for _, want := range []string{"method           qbp", "cpu  ", "iterations       ", "matrix           ", "gap fallbacks    ", "start WL         "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("qbp report missing %q:\n%s", want, out)
 		}
@@ -120,7 +120,7 @@ func TestReportLines(t *testing.T) {
 	if !strings.Contains(out, "method           gkl") {
 		t.Errorf("gkl report missing method line:\n%s", out)
 	}
-	for _, absent := range []string{"iterations       ", "matrix           "} {
+	for _, absent := range []string{"iterations       ", "matrix           ", "gap fallbacks    "} {
 		if strings.Contains(out, absent) {
 			t.Errorf("gkl report has QBP-only line %q:\n%s", absent, out)
 		}

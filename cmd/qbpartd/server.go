@@ -85,6 +85,7 @@ type statsBody struct {
 	Restarts       int     `json:"restarts"`
 	EtaFull        int     `json:"eta_full"`
 	EtaIncremental int     `json:"eta_incremental"`
+	GAPFallbacks   int     `json:"gap_fallbacks"`
 	Matrix         string  `json:"matrix"`
 	Density        float64 `json:"density"`
 	NNZ            int     `json:"nnz"`
@@ -263,6 +264,7 @@ func statusOf(st jobqueue.Status) statusResponse {
 					Restarts:       s.Restarts,
 					EtaFull:        s.EtaFull,
 					EtaIncremental: s.EtaIncremental,
+					GAPFallbacks:   s.GAPFallbacks,
 					Matrix:         s.Matrix,
 					Density:        s.Density,
 					NNZ:            s.NNZ,

@@ -171,6 +171,34 @@ func TestSubmitPollResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGAPFallbackJobSucceeds: a job whose STEP 4/6 constructor dead-ends
+// (this small slack-1.10 circuit from the seed-3 random start) completes,
+// and the job stats report the fallbacks that answered it.
+func TestGAPFallbackJobSucceeds(t *testing.T) {
+	ts, _ := newTestDaemon(t, jobqueue.Config{Workers: 1, QueueCap: 2})
+	in, err := partition.GenerateCircuit(partition.GenerateParams{Spec: partition.CircuitSpec{
+		Name: "custom-2100", Components: 100, Wires: 600, TimingConstraints: 200, Seed: 2100,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := partition.WriteProblem(&buf, in.Problem); err != nil {
+		t.Fatal(err)
+	}
+	ack, resp := postJob(t, ts, buf.Bytes(), "method=qbp&iterations=50&seed=3")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST: %d", resp.StatusCode)
+	}
+	st := pollDone(t, ts, ack.ID)
+	if st.State != "done" || st.Result == nil || st.Result.Stats == nil {
+		t.Fatalf("state %q (error %q), want done with stats", st.State, st.Error)
+	}
+	if st.Result.Stats.GAPFallbacks == 0 || !st.Result.Feasible {
+		t.Fatalf("gap_fallbacks = %d, feasible = %v; want > 0 and true", st.Result.Stats.GAPFallbacks, st.Result.Feasible)
+	}
+}
+
 // TestFixedSeedIdenticalAcrossDaemons: the same POST against daemons with
 // worker pools of 1, 2 and 8 returns the identical assignment.
 func TestFixedSeedIdenticalAcrossDaemons(t *testing.T) {

@@ -83,3 +83,37 @@ func sparseEtaInstance(rng *rand.Rand, m, n, deg int) *Instance {
 	}
 	return &Instance{FlatCosts: flat, Sizes: sizes, Capacities: caps}
 }
+
+// BenchmarkGAPSolveSwap is the swap-heavy shape of the paper-table
+// subproblems: N=600 items in M=16 bins, swap refinement capped at the
+// solver's 3 passes. "eta" is the integral STEP 4 cost (η-shaped columns);
+// "h" is the fractional STEP 6 direction built from it as h += η/denom
+// over a few iterations — the path whose pruning carries a rounding margin.
+func BenchmarkGAPSolveSwap(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	eta := sparseEtaInstance(rng, 16, 600, 12)
+	h := make([]float64, len(eta.FlatCosts))
+	for it := 0; it < 4; it++ {
+		denom := 1 + 1e3*rng.Float64()
+		for r, c := range eta.FlatCosts {
+			h[r] += float64(c+rng.Int63n(3)) / denom
+		}
+	}
+	opt := Options{Refine: RefineSwap, MaxRefinePasses: 3}
+	for _, c := range []struct {
+		name string
+		in   *Instance
+	}{
+		{"eta", eta},
+		{"h", &Instance{FlatCosts64: h, Sizes: eta.Sizes, Capacities: eta.Capacities}},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d/m=%d", c.name, c.in.N(), c.in.M()), func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				if _, _, ok := Solve(context.Background(), c.in, opt); !ok {
+					b.Fatal("infeasible")
+				}
+			}
+		})
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/interrupt"
@@ -155,8 +156,11 @@ const (
 	// RefineShift repeatedly relocates single items to cheaper feasible
 	// bins until no move improves.
 	RefineShift
-	// RefineSwap additionally exchanges item pairs between bins; costlier
-	// (O(N²) per pass) but stronger.
+	// RefineSwap additionally exchanges item pairs between bins and tries
+	// depth-2 ejection chains; costlier but stronger. A swap pass is O(N²)
+	// pair checks in the worst case, but bin-pair lower bounds skip every
+	// partner bin that provably holds no improving swap, so typical passes
+	// visit only a small fraction of the pairs (DESIGN.md §7.1).
 	RefineSwap
 )
 
@@ -202,18 +206,38 @@ func (v *view[T]) cost(assign []int) T {
 // short the refinement sweeps, so the caller still gets a feasible — just
 // less polished — assignment back promptly.
 func Solve(ctx context.Context, in *Instance, opt Options) (assign []int, cost float64, ok bool) {
+	return dispatch(ctx, in, opt, nil)
+}
+
+// Improve refines a caller-supplied capacity-feasible assignment in place
+// with the same local search Solve applies after construction, and returns
+// its final cost. ok is false, and assign is left untouched, when assign is
+// not capacity-feasible. It answers instances where the MTHG constructor
+// dead-ends although a feasible point is known. Cancellation cuts the
+// refinement short exactly as in Solve.
+func Improve(ctx context.Context, in *Instance, opt Options, assign []int) (cost float64, ok bool) {
+	if len(assign) != in.N() || !in.Feasible(assign) {
+		return 0, false
+	}
+	_, cost, ok = dispatch(ctx, in, opt, assign)
+	return cost, ok
+}
+
+// dispatch runs solve on the instance's cost representation, refining
+// start when it is non-nil and constructing with MTHG otherwise.
+func dispatch(ctx context.Context, in *Instance, opt Options, start []int) (assign []int, cost float64, ok bool) {
 	ck := interrupt.New(ctx, 0)
 	switch {
 	case in.FlatCosts != nil:
 		v := &view[int64]{flat: in.FlatCosts, m: in.M(), sizes: in.Sizes, caps: in.Capacities}
-		a, c, ok := solve(v, opt, &ck)
+		a, c, ok := solve(v, opt, &ck, start)
 		return a, float64(c), ok
 	case in.FlatCosts64 != nil:
 		v := &view[float64]{flat: in.FlatCosts64, m: in.M(), sizes: in.Sizes, caps: in.Capacities}
-		return solve(v, opt, &ck)
+		return solve(v, opt, &ck, start)
 	default:
 		v := &view[float64]{flat: transpose(in.Costs, in.N()), m: in.M(), sizes: in.Sizes, caps: in.Capacities}
-		return solve(v, opt, &ck)
+		return solve(v, opt, &ck, start)
 	}
 }
 
@@ -229,8 +253,10 @@ func transpose(costs [][]float64, n int) []float64 {
 	return flat
 }
 
-func solve[T number](v *view[T], opt Options, ck *interrupt.Checker) (assign []int, cost T, ok bool) {
-	assign, ok = construct(v)
+func solve[T number](v *view[T], opt Options, ck *interrupt.Checker, start []int) (assign []int, cost T, ok bool) {
+	if assign, ok = start, start != nil; !ok {
+		assign, ok = construct(v)
+	}
 	if ok {
 		refine(v, assign, opt, ck)
 	}
@@ -431,48 +457,234 @@ func refine[T number](v *view[T], assign []int, opt Options, ck *interrupt.Check
 	if opt.Refine == RefineNone {
 		return
 	}
-	m, n := v.m, v.n()
-	remaining := append([]int64(nil), v.caps...)
-	for j, i := range assign {
-		remaining[i] -= v.sizes[j]
-	}
-	// One sweep of single-item relocations; cheap (O(N·M)), so it always
-	// runs to convergence inside each outer pass.
-	shiftSweep := func() bool {
-		improved := false
-		for j := 0; j < n; j++ {
-			cur := assign[j]
-			sz := v.sizes[j]
-			col := v.col(j)
-			bestI, bestC := cur, col[cur]
-			for i := 0; i < m; i++ {
-				if i == cur || remaining[i] < sz {
-					continue
-				}
-				if c := col[i]; c < bestC {
-					bestI, bestC = i, c
-				}
-			}
-			if bestI != cur {
-				assign[j] = bestI
-				remaining[cur] += sz
-				remaining[bestI] -= sz
-				improved = true
+	r := newRefiner(v, assign, opt.Refine >= RefineSwap)
+	// MaxRefinePasses caps only the expensive sweeps (swap, eject as a last
+	// resort): each outer pass first drains all shift moves.
+	for pass := 0; pass < passes; pass++ {
+		if ck.Now() {
+			return
+		}
+		for k := 0; k < 200; k++ {
+			if !r.shiftSweep() || ck.Now() {
+				break
 			}
 		}
-		return improved
+		if opt.Refine < RefineSwap || ck.Now() {
+			return
+		}
+		improved := r.swapSweep()
+		// Ejection is the expensive last resort: only scan for depth-2
+		// chains once shifts and swaps have dried up.
+		if !improved && r.eject() {
+			improved = true
+		}
+		if !improved {
+			return
+		}
 	}
-	swapSweep := func() bool {
-		improved := false
-		for j1 := 0; j1 < n; j1++ {
-			i1 := assign[j1]
-			s1 := v.sizes[j1]
-			col1 := v.col(j1)
-			for j2 := j1 + 1; j2 < n; j2++ {
-				i2 := assign[j2]
-				if i1 == i2 {
-					continue
+}
+
+// refiner is the state of one refine call: the assignment being improved,
+// its remaining capacities, and — for swap refinement — the bin-pair bound
+// table that lets the swap and eject neighbourhoods skip, exactly, every
+// candidate that provably cannot improve (DESIGN.md §7.1). The scratch is
+// allocated once per call and reused by every sweep.
+type refiner[T number] struct {
+	v         *view[T]
+	assign    []int
+	remaining []int64
+
+	// lb[qmatrix.Pack(t, b, m)] ≤ col_k[t] − col_k[b] for every item k
+	// currently in bin b (meaningless while cnt[b] == 0); lbMin[b] is its
+	// minimum over t ≠ b. Entries only ever fall between rebuilds, except
+	// when an item enters an empty bin and the row restarts from it.
+	lb      []T
+	lbMin   []T
+	cnt     []int // items per bin
+	members *bitset.Membership
+	qual    []int // bins that may hold an improving swap partner of the current item
+	// swapThr is the swap-prune threshold: a bin is skipped when its bound
+	// is ≥ swapThr. −1e−12 (the improvement test's own tolerance) on the
+	// exact int64 path; on the float64 path it carries the rounding margin,
+	// and is +Inf (no pruning) when the costs are too large to bound.
+	swapThr float64
+}
+
+func newRefiner[T number](v *view[T], assign []int, swap bool) *refiner[T] {
+	m := v.m
+	r := &refiner[T]{v: v, assign: assign, remaining: append([]int64(nil), v.caps...)}
+	for j, i := range assign {
+		r.remaining[i] -= v.sizes[j]
+	}
+	if swap {
+		r.lb = make([]T, m*m)
+		r.lbMin = make([]T, m)
+		r.cnt = make([]int, m)
+		r.members = bitset.NewMembership(m, v.n())
+		r.qual = make([]int, 0, m)
+		r.swapThr = swapThreshold(v.flat)
+	}
+	return r
+}
+
+// swapThreshold returns the swap-prune threshold for costs flat. The swap
+// delta col1[i2] + col2[i1] − col1[i1] − col2[i2] and its bound
+// (col1[b] − col1[i1]) + lb[b][i1] are evaluated in T. In int64 both are
+// exact for costs below 2⁶⁰ in magnitude (no four-term sum overflows), so
+// delta ≥ bound and the plain tolerance is exact. In float64, with every
+// |cost| ≤ C and unit roundoff u = 2⁻⁵³, the three roundings of the delta
+// err by ≤ 9uC and those of the bound (its lb entry included) by ≤ 8uC, so
+// a computed delta is ≥ the computed bound − 17uC. Pruning only bounds ≥
+// −1e−12 + 512uC (= C·2⁻⁴⁴, which also absorbs the rounding of that sum)
+// therefore never skips a delta that tests < −1e−12. Below C ≈ 2.5e−13 no
+// delta can test < −1e−12 at all, so the margin needs no floor.
+func swapThreshold[T number](flat []T) float64 {
+	const tol = -1e-12
+	var zero T
+	if _, isFloat := any(zero).(float64); !isFloat {
+		return tol
+	}
+	var c float64
+	for _, x := range flat {
+		c = math.Max(c, math.Abs(float64(x)))
+	}
+	if !(c <= 1e300) { // Inf (or a sum that could overflow): prune nothing
+		return math.Inf(1)
+	}
+	return tol + c*0x1p-44
+}
+
+// row returns bin b's bound row: row(b)[t] bounds col_k[t] − col_k[b].
+func (r *refiner[T]) row(b int) []T {
+	m := r.v.m
+	return r.lb[qmatrix.Pack(0, b, m):qmatrix.Pack(0, b+1, m)]
+}
+
+// rebuild re-derives the membership index, bin counts and bound table from
+// the current assignment in O(N·M).
+func (r *refiner[T]) rebuild() {
+	r.members.Build(r.assign)
+	for b := range r.cnt {
+		r.cnt[b] = 0
+	}
+	for k, b := range r.assign {
+		r.enter(k, b)
+	}
+}
+
+// enter accounts item k arriving in bin b: the bin's bound row falls to
+// include k (or restarts from k when the bin was empty).
+func (r *refiner[T]) enter(k, b int) {
+	col := r.v.col(k)
+	row := r.row(b)
+	cb := col[b]
+	if r.cnt[b] == 0 {
+		var lo T
+		first := true
+		for t, c := range col {
+			d := c - cb
+			row[t] = d
+			if t != b && (first || d < lo) {
+				lo, first = d, false
+			}
+		}
+		r.lbMin[b] = lo
+	} else {
+		lo := r.lbMin[b]
+		for t, c := range col {
+			if d := c - cb; d < row[t] {
+				row[t] = d
+				if t != b && d < lo {
+					lo = d
 				}
+			}
+		}
+		r.lbMin[b] = lo
+	}
+	r.cnt[b]++
+}
+
+// shiftSweep is one pass of single-item relocations; cheap (O(N·M)), so
+// refine always runs it to convergence inside each outer pass.
+func (r *refiner[T]) shiftSweep() bool {
+	v, assign, remaining := r.v, r.assign, r.remaining
+	m, n := v.m, v.n()
+	improved := false
+	for j := 0; j < n; j++ {
+		cur := assign[j]
+		sz := v.sizes[j]
+		col := v.col(j)
+		bestI, bestC := cur, col[cur]
+		for i := 0; i < m; i++ {
+			if i == cur || remaining[i] < sz {
+				continue
+			}
+			if c := col[i]; c < bestC {
+				bestI, bestC = i, c
+			}
+		}
+		if bestI != cur {
+			assign[j] = bestI
+			remaining[cur] += sz
+			remaining[bestI] -= sz
+			improved = true
+		}
+	}
+	return improved
+}
+
+// qualify fills r.qual with the bins b ≠ i1 that may hold a swap partner
+// improving on item col1 in bin i1: every partner k in b has delta ≥
+// col1[b] − col1[i1] + lb[b][i1], so a bin whose bound reaches swapThr
+// holds none.
+func (r *refiner[T]) qualify(col1 []T, i1 int) {
+	m := r.v.m
+	r.qual = r.qual[:0]
+	base := col1[i1]
+	for b := 0; b < m; b++ {
+		if b == i1 || r.cnt[b] == 0 {
+			continue
+		}
+		if float64(col1[b]-base+r.lb[qmatrix.Pack(i1, b, m)]) < r.swapThr {
+			r.qual = append(r.qual, b)
+		}
+	}
+}
+
+// union returns word w of the membership union of the qualifying bins.
+func (r *refiner[T]) union(w int) uint64 {
+	var word uint64
+	for _, b := range r.qual {
+		word |= r.members.Part(b).Words()[w]
+	}
+	return word
+}
+
+// swapSweep exchanges item pairs between bins, first improvement in
+// ascending (j1, j2) order. Only partners in qualifying bins are visited —
+// in ascending index order, by walking the OR of their membership words —
+// so the sequence of applied swaps is exactly that of the full O(N²) scan.
+func (r *refiner[T]) swapSweep() bool {
+	v, assign, remaining := r.v, r.assign, r.remaining
+	n := v.n()
+	words := (n + 63) >> 6
+	r.rebuild()
+	improved := false
+	for j1 := 0; j1 < n; j1++ {
+		i1 := assign[j1]
+		s1 := v.sizes[j1]
+		col1 := v.col(j1)
+		r.qualify(col1, i1)
+		from := j1 + 1
+		for w := from >> 6; w < words && len(r.qual) > 0; w++ {
+			word := r.union(w)
+			if w == from>>6 {
+				word &= ^uint64(0) << uint(from&63)
+			}
+			for word != 0 {
+				j2 := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				i2 := assign[j2]
 				s2 := v.sizes[j2]
 				if remaining[i1]+s1 < s2 || remaining[i2]+s2 < s1 {
 					continue
@@ -483,51 +695,35 @@ func refine[T number](v *view[T], assign []int, opt Options, ck *interrupt.Check
 					assign[j1], assign[j2] = i2, i1
 					remaining[i1] += s1 - s2
 					remaining[i2] += s2 - s1
-					i1 = assign[j1]
-					s1 = v.sizes[j1]
+					r.members.Move(j1, i1, i2)
+					r.members.Move(j2, i2, i1)
+					r.enter(j1, i2)
+					r.enter(j2, i1)
+					r.cnt[i1]--
+					r.cnt[i2]--
+					i1 = i2
 					improved = true
+					r.qualify(col1, i1)
+					word = r.union(w) & (^uint64(0) << uint(j2&63) << 1)
 				}
 			}
 		}
-		return improved
 	}
-	// MaxRefinePasses caps only the expensive sweeps (swap O(N²), eject as
-	// a last resort): each outer pass first drains all shift moves.
-	for pass := 0; pass < passes; pass++ {
-		if ck.Now() {
-			return
-		}
-		for k := 0; k < 200; k++ {
-			if !shiftSweep() || ck.Now() {
-				break
-			}
-		}
-		if opt.Refine < RefineSwap || ck.Now() {
-			return
-		}
-		improved := swapSweep()
-		// Ejection is the expensive last resort: only scan for depth-2
-		// chains once shifts and swaps have dried up — at most once per
-		// refine pass, so its transient members index is noise next to the
-		// O(N·M²) chain scan it fronts.
-		//lint:ignore alloc-in-hot-loop eject runs at most once per refine pass; its scan dominates the transient members index
-		if !improved && eject(v, assign, remaining) {
-			improved = true
-		}
-		if !improved {
-			return
-		}
-	}
+	return improved
 }
 
 // eject performs depth-2 shifts: move item j into bin i after evicting one
 // item k from i to a third bin, when the combined cost delta is negative.
 // This escapes local optima that single shifts and pairwise swaps cannot
-// (three-way rotations). Returns whether any move was applied.
-func eject[T number](v *view[T], assign []int, remaining []int64) bool {
+// (three-way rotations). Returns whether any move was applied. The
+// O(|bin|·M) eviction scan for (j, i) is skipped when even the bin's bound
+// lbMin[i] ≤ every eviction delta cannot make the move improving; that
+// bound is the minimum of the very values the scan compares, so the skip
+// is exact in both cost types.
+func (r *refiner[T]) eject() bool {
+	v, assign, remaining := r.v, r.assign, r.remaining
 	m, n := v.m, v.n()
-	members := bitset.NewMembership(m, n)
-	members.Build(assign)
+	r.rebuild()
 	moved := false
 	for j := 0; j < n; j++ {
 		s := assign[j]
@@ -541,12 +737,14 @@ func eject[T number](v *view[T], assign []int, remaining []int64) bool {
 			if remaining[i] >= sj {
 				continue // plain shift handles this case
 			}
+			if r.cnt[i] == 0 || gain0+float64(r.lbMin[i]) >= -1e-12 {
+				continue // no eviction from i can pay for the move
+			}
 			// Find the cheapest eviction k: i → b that makes room. The
-			// membership bitset iterates bin i ascending — the identical
-			// candidate order the sorted member lists used to produce.
+			// membership bitset iterates bin i ascending.
 			bestDelta := math.Inf(1)
 			bestK, bestB := -1, -1
-			bin := members.Part(i)
+			bin := r.members.Part(i)
 			for k := bin.NextSet(0); k < n; k = bin.NextSet(k + 1) {
 				sk := v.sizes[k]
 				if remaining[i]+sk < sj {
@@ -575,10 +773,12 @@ func eject[T number](v *view[T], assign []int, remaining []int64) bool {
 				remaining[s] += sj
 				remaining[i] -= sj
 				assign[j] = i
-				// Two O(1) bit moves keep the membership index exact; the
-				// old sorted-slice lists paid a shifted copy per move.
-				members.Move(bestK, i, bestB)
-				members.Move(j, s, i)
+				r.members.Move(bestK, i, bestB)
+				r.members.Move(j, s, i)
+				r.enter(bestK, bestB)
+				r.enter(j, i)
+				r.cnt[i]--
+				r.cnt[s]--
 				moved = true
 				break
 			}

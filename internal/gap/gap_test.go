@@ -246,3 +246,27 @@ func BenchmarkSolveM16N600(b *testing.B) {
 		}
 	}
 }
+
+// TestImprove: Improve refines a feasible assignment in place to a cost no
+// worse than the start, and refuses an infeasible or misshapen one without
+// touching it.
+func TestImprove(t *testing.T) {
+	in := &Instance{
+		FlatCosts:  []int64{9, 1, 1, 9, 9, 1},
+		Sizes:      []int64{1, 1, 1},
+		Capacities: []int64{2, 2},
+	}
+	a := []int{0, 1, 0}
+	startCost := in.Cost(a)
+	cost, ok := Improve(context.Background(), in, Options{Refine: RefineSwap}, a)
+	if !ok || cost != in.Cost(a) || cost >= startCost || !in.Feasible(a) {
+		t.Fatalf("Improve = %v, %v on %v (start cost %v)", cost, ok, a, startCost)
+	}
+	over := []int{0, 0, 0}
+	if _, ok := Improve(context.Background(), in, Options{Refine: RefineSwap}, over); ok || over[2] != 0 {
+		t.Fatalf("Improve accepted or changed an overloaded assignment: %v", over)
+	}
+	if _, ok := Improve(context.Background(), in, Options{}, []int{0}); ok {
+		t.Fatal("Improve accepted a short assignment")
+	}
+}

@@ -203,6 +203,9 @@ type SolveStats struct {
 	// EtaFull and EtaIncremental count the STEP 3 η rebuild strategies
 	// chosen (full recompute vs dirty-column refresh).
 	EtaFull, EtaIncremental int
+	// GAPFallbacks counts STEP 4/6 subproblems whose MTHG construction
+	// dead-ended and that were answered by refining the current iterate.
+	GAPFallbacks int
 	// Matrix is the resolved coupling representation ("sparse" or
 	// "dense"), Density the measured off-diagonal fill fraction
 	// NNZ/(N·(N−1)), and NNZ the stored arc count. All starts of a
@@ -227,12 +230,24 @@ func (s *SolveStats) add(o SolveStats) {
 	s.Restarts += o.Restarts
 	s.EtaFull += o.EtaFull
 	s.EtaIncremental += o.EtaIncremental
+	s.GAPFallbacks += o.GAPFallbacks
 	if s.Matrix == "" {
 		s.Matrix, s.Density, s.NNZ = o.Matrix, o.Density, o.NNZ
 	}
 	s.SetupTime += o.SetupTime
 	s.IterTime += o.IterTime
 	s.PolishTime += o.PolishTime
+}
+
+// gapFallback answers a STEP 4/6 subproblem whose MTHG construction
+// dead-ended: the current iterate u lies in S, so the subproblem is
+// feasible, and refining a copy of u under the subproblem's costs gives a
+// capacity-feasible answer. ok is false only if u itself is not in S.
+func (s *solver) gapFallback(ctx context.Context, in *gap.Instance, opt gap.Options, u []int) (a []int, cost float64, ok bool) {
+	s.stats.GAPFallbacks++
+	a = append([]int(nil), u...)
+	cost, ok = gap.Improve(ctx, in, opt, a)
+	return a, cost, ok
 }
 
 // now is the telemetry clock behind SolveStats and Progress.Elapsed.
@@ -492,7 +507,10 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 			if s.ck.Now() {
 				break // cancelled mid-subproblem: keep the incumbent
 			}
-			return nil, errors.New("qbp: STEP 4 subproblem has no capacity-feasible solution")
+			uz, z, ok4 = s.gapFallback(ctx, gapInst, gapOpts, u)
+			if !ok4 {
+				return nil, errors.New("qbp: STEP 4 subproblem has no capacity-feasible solution")
+			}
 		}
 		if cur := s.penalizedValue(uz); cur < bestVal {
 			bestVal = cur
@@ -520,7 +538,10 @@ func Solve(ctx context.Context, p *model.Problem, opts Options) (*Result, error)
 			if s.ck.Now() {
 				break
 			}
-			return nil, errors.New("qbp: STEP 6 subproblem has no capacity-feasible solution")
+			next, _, ok6 = s.gapFallback(ctx, gapInst, gapOpts, u)
+			if !ok6 {
+				return nil, errors.New("qbp: STEP 6 subproblem has no capacity-feasible solution")
+			}
 		}
 		u = next
 		performed = k
